@@ -1,8 +1,9 @@
 // Command hostagent runs the SmartHarvest EVMAgent against a real Linux
 // host using cpuset cgroups (v2): it harvests cores from a "primary"
 // cgroup of latency-critical processes for an "elastic" cgroup of batch
-// processes, with the same online learner and safeguards the simulator
-// uses.
+// processes. It runs the simulator's own agent (internal/core) with the
+// same online learner, safeguards, resize retries and degradation, on a
+// sim.Loop paced in wall time instead of simulated time.
 //
 // Setup (as root, cgroup v2):
 //
@@ -22,6 +23,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -32,7 +34,7 @@ import (
 
 	"smartharvest/internal/core"
 	"smartharvest/internal/hostcg"
-	"smartharvest/internal/rtagent"
+	"smartharvest/internal/sim"
 )
 
 // parseCores expands "0-3,6,8-9" into a core list.
@@ -94,6 +96,36 @@ func buildController(policy string, alloc int) (core.Controller, error) {
 	default:
 		return nil, fmt.Errorf("unknown policy %q", name)
 	}
+}
+
+// agentConfig is the paper's agent configuration with the host's window,
+// polling and QoS-guard flags applied.
+func agentConfig(alloc int, window, poll time.Duration, guard bool) core.Config {
+	cfg := core.DefaultConfig(alloc, 1) // the elastic group keeps one core
+	cfg.Window = sim.Duration(window)
+	cfg.PollInterval = sim.Duration(poll)
+	cfg.LongTermSafeguard = guard
+	// The default missed-poll threshold (50) is a tenth of the paper's 500
+	// polls per window. Keep that fraction at the host's coarser polling,
+	// or lost /proc/stat readings could never degrade the agent.
+	if poll > 0 {
+		n := max(int(window/poll)/10, 1)
+		cfg.Resilience.DegradeAfterMissedPolls = min(n, cfg.Resilience.DegradeAfterMissedPolls)
+	}
+	return cfg
+}
+
+// reportStats prints the agent's counters, and the backend's last
+// host-access error, every interval. It ticks on the agent's own loop, so
+// it reads agent and backend state on the goroutine that mutates it.
+func reportStats(loop *sim.Loop, every sim.Time, a *core.Agent, lastErr func() error, out, errOut io.Writer) {
+	loop.NewTicker(loop.Now()+every, every, func() {
+		fmt.Fprintf(out, "hostagent: target=%d windows=%d resizes=%d safeguards=%d qos-trips=%d\n",
+			a.Target(), a.Windows(), a.ResizeCount(), a.SafeguardInvocations(), a.QoSTrips())
+		if err := lastErr(); err != nil {
+			fmt.Fprintf(errOut, "hostagent: backend: %v\n", err)
+		}
+	})
 }
 
 func main() {
@@ -167,42 +199,22 @@ func main() {
 			fmt.Fprintf(os.Stderr, "hostagent: saving model: %v\n", saveErr)
 		}
 	}
-	agent, err := rtagent.New(backend, ctrl, rtagent.Config{
-		PrimaryAlloc:      alloc,
-		ElasticMin:        1,
-		Window:            *window,
-		PollInterval:      *poll,
-		LongTermSafeguard: *guard,
-	})
+	if *statsEvery <= 0 {
+		fail(fmt.Errorf("-stats must be positive"))
+	}
+	loop := sim.NewLoop()
+	agent, err := core.NewAgent(loop, backend, ctrl, agentConfig(alloc, *window, *poll, *guard))
 	if err != nil {
 		fail(err)
 	}
+	reportStats(loop, sim.Duration(*statsEvery), agent, backend.LastError, os.Stdout, os.Stderr)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	go func() {
-		t := time.NewTicker(*statsEvery)
-		defer t.Stop()
-		for {
-			select {
-			case <-ctx.Done():
-				return
-			case <-t.C:
-				st := agent.Stats()
-				fmt.Printf("hostagent: target=%d windows=%d resizes=%d safeguards=%d qos-trips=%d\n",
-					st.Target, st.Windows, st.Resizes, st.Safeguards, st.QoSTrips)
-				if err := backend.LastError(); err != nil {
-					fmt.Fprintf(os.Stderr, "hostagent: backend: %v\n", err)
-				}
-			}
-		}
-	}()
-
 	fmt.Printf("hostagent: harvesting %d cores (%s) with %s; ctrl-C to stop\n",
 		len(cores), *coreSpec, ctrl.Name())
-	if err := agent.Run(ctx); err != nil {
-		fail(err)
-	}
+	agent.Start()
+	loop.RunPaced(ctx, sim.RealClock{})
 	// Give everything back on exit and persist what was learned.
 	backend.SetPrimaryCores(len(cores) - 1)
 	saveModel()

@@ -1,9 +1,10 @@
 // Package core implements SmartHarvest's EVMAgent (the paper's Algorithm
 // 1) and the harvesting policies it is compared against. The agent runs on
-// the simulation event loop, polls the hypervisor for busy primary cores
-// at a fine interval, and at each learning-window boundary asks its
-// Controller for the next primary-core target, enforcing the paper's two
-// safeguards:
+// a sim.Loop, in virtual time under the simulator or paced in wall time
+// (sim.Loop.RunPaced) by cmd/hostagent on a real host. It polls the
+// hypervisor for busy primary cores at a fine interval, and at each
+// learning-window boundary asks its Controller for the next primary-core
+// target, enforcing the paper's two safeguards:
 //
 //   - short-term: if at any poll the primary VMs are using every core they
 //     were assigned, the window is cut short and the assignment expanded,

@@ -1,11 +1,14 @@
 package hostcg
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"smartharvest/internal/core"
+	"smartharvest/internal/sim"
 )
 
 // fakeOS is an in-memory host.
@@ -226,13 +229,82 @@ func TestBusyToleratesReadErrors(t *testing.T) {
 	b.BusyPrimaryCores()
 	setStat(f, statLine(0, 300, 100), statLine(1, 300, 100), statLine(2, 100, 300),
 		statLine(3, 100, 300), statLine(4, 100, 300), statLine(5, 100, 300))
-	want := b.BusyPrimaryCores()
+	if got := b.BusyPrimaryCores(); got != 2 {
+		t.Fatalf("busy %d, want 2", got)
+	}
+	// A lost reading is -1 (the core.Hypervisor contract), never a
+	// stale count the agent would mistake for a live one.
 	f.errOn["/proc/stat"] = fmt.Errorf("transient")
-	if got := b.BusyPrimaryCores(); got != want {
-		t.Fatalf("error path returned %d, want cached %d", got, want)
+	if got := b.BusyPrimaryCores(); got != -1 {
+		t.Fatalf("read error returned %d, want -1", got)
 	}
 	if b.LastError() == nil {
 		t.Fatal("error not recorded")
+	}
+	delete(f.errOn, "/proc/stat")
+	f.files["/proc/stat"] = "garbage\n"
+	if got := b.BusyPrimaryCores(); got != -1 {
+		t.Fatalf("parse error returned %d, want -1", got)
+	}
+}
+
+// wallClock is a sim.Clock whose Sleep advances instantly and then runs
+// onSleep with the elapsed wall time.
+type wallClock struct {
+	start, now time.Time
+	onSleep    func(elapsed time.Duration)
+}
+
+func (c *wallClock) Now() time.Time { return c.now }
+
+func (c *wallClock) Sleep(d time.Duration) {
+	c.now = c.now.Add(d)
+	c.onSleep(c.now.Sub(c.start))
+}
+
+// TestPacedAgentDegradesOnLostReadings runs the shared core.Agent, paced
+// in wall time as cmd/hostagent runs it, over the backend: idle
+// primaries are harvested down to one core, then /proc/stat becomes
+// unreadable and the lost readings must drive the agent into degraded
+// mode, which hands the primaries their full allocation back.
+func TestPacedAgentDegradesOnLostReadings(t *testing.T) {
+	f := newFakeOS()
+	b, _ := New(testConfig(f))
+	if err := b.Init(); err != nil {
+		t.Fatal(err)
+	}
+	setStat(f, statLine(0, 100, 100), statLine(1, 100, 100), statLine(2, 100, 100),
+		statLine(3, 100, 100), statLine(4, 100, 100), statLine(5, 100, 100))
+	loop := sim.NewLoop()
+	a, err := core.NewAgent(loop, b, core.NewSmartHarvest(5, core.SmartHarvestOptions{}), core.DefaultConfig(5, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	harvested := ""
+	start := time.Unix(0, 0)
+	clk := &wallClock{start: start, now: start, onSleep: func(el time.Duration) {
+		switch {
+		case el > 3*time.Second:
+			cancel()
+		case el > 2*time.Second && f.errOn["/proc/stat"] == nil:
+			harvested = f.files["/cg/primary/cpuset.cpus"]
+			f.errOn["/proc/stat"] = fmt.Errorf("EIO")
+		}
+	}}
+	a.Start()
+	loop.RunPaced(ctx, clk)
+
+	if harvested != "0" {
+		t.Fatalf("primary cpuset %q before the failure, want idle primaries harvested to \"0\"", harvested)
+	}
+	if !a.Degraded() || a.Degradations() != 1 || a.MissedPolls() == 0 {
+		t.Fatalf("degraded=%v degradations=%d missed polls=%d; lost readings must degrade the agent",
+			a.Degraded(), a.Degradations(), a.MissedPolls())
+	}
+	if got := f.files["/cg/primary/cpuset.cpus"]; got != "0-4" {
+		t.Fatalf("primary cpuset %q while degraded, want the full allocation 0-4", got)
 	}
 }
 

@@ -3,7 +3,9 @@
 // a priority queue of scheduled events with deterministic ordering.
 //
 // Nothing in the simulator sleeps or reads the wall clock; experiments are
-// pure functions of their configuration and seed.
+// pure functions of their configuration and seed. The one exception is
+// RunPaced, which drives the same loop in wall time so the agent can run
+// on a real host; the callbacks still see only virtual time.
 //
 // The event loop is on the hot path of every experiment (a busy-poll
 // ticker alone fires ~20,000 events per simulated second per agent), so
@@ -14,6 +16,7 @@
 package sim
 
 import (
+	"context"
 	"fmt"
 	"time"
 )
@@ -289,6 +292,39 @@ func (l *Loop) RunUntil(end Time) {
 // Run executes events until the queue is empty.
 func (l *Loop) Run() {
 	for len(l.queue) > 0 {
+		l.step()
+	}
+}
+
+// Clock is the wall-time source RunPaced paces against.
+type Clock interface {
+	Now() time.Time
+	Sleep(d time.Duration)
+}
+
+// RealClock paces against the OS clock.
+type RealClock struct{}
+
+// Now implements Clock.
+func (RealClock) Now() time.Time { return time.Now() }
+
+// Sleep implements Clock.
+func (RealClock) Sleep(d time.Duration) { time.Sleep(d) }
+
+// RunPaced executes events in wall time: each event fires once c has
+// advanced, since the call, by the event's virtual offset from the loop's
+// clock at the call. Events that fall behind schedule fire immediately
+// and none is skipped; callbacks still see each event's scheduled virtual
+// time, exactly as under RunUntil. It returns when ctx is done or the
+// queue is empty.
+func (l *Loop) RunPaced(ctx context.Context, c Clock) {
+	wall0, virt0 := c.Now(), l.now
+	for len(l.queue) > 0 && ctx.Err() == nil {
+		due := wall0.Add((l.queue[0].when - virt0).ToDuration())
+		if d := due.Sub(c.Now()); d > 0 {
+			c.Sleep(d)
+			continue // re-check ctx and the head after sleeping
+		}
 		l.step()
 	}
 }
