@@ -16,11 +16,15 @@ type CPUBully struct {
 	vm      *hypervisor.VM
 	chunk   sim.Time
 	started bool
+
+	refillFn func() // b.refill bound once; refilling allocates nothing
 }
 
 // NewCPUBully builds a bully on the given (elastic) VM.
 func NewCPUBully(loop *sim.Loop, vm *hypervisor.VM) *CPUBully {
-	return &CPUBully{loop: loop, vm: vm, chunk: 10 * sim.Millisecond}
+	b := &CPUBully{loop: loop, vm: vm, chunk: 10 * sim.Millisecond}
+	b.refillFn = b.refill
+	return b
 }
 
 // Start floods every vCPU with self-refilling CPU-bound chunks.
@@ -35,7 +39,7 @@ func (b *CPUBully) Start() {
 }
 
 func (b *CPUBully) refill() {
-	b.vm.Submit(b.chunk, b.refill)
+	b.vm.Submit(b.chunk, b.refillFn)
 }
 
 // PhaseKind distinguishes CPU-bound from I/O-bound batch phases.

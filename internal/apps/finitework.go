@@ -30,6 +30,25 @@ type FiniteWork struct {
 	stopped bool
 	done    bool
 	onDone  func()
+
+	freeChunks []*workChunk // completed chunks, reused by pump
+}
+
+// workChunk is one submitted chunk of work, tagged with the generation it
+// was submitted in. Chunks are recycled with their completion callback
+// bound once, so pumping a long job allocates nothing per chunk.
+type workChunk struct {
+	w          *FiniteWork
+	c          sim.Time
+	gen        int
+	completeFn func() // k.complete bound once
+}
+
+func (k *workChunk) complete() {
+	w := k.w
+	c, gen := k.c, k.gen
+	w.freeChunks = append(w.freeChunks, k)
+	w.complete(c, gen)
 }
 
 // NewFiniteWork builds a finite-work job on vm owing total CPU work;
@@ -104,9 +123,21 @@ func (w *FiniteWork) pump() {
 		}
 		w.submitted += c
 		w.outstanding++
-		gen := w.gen
-		w.vm.Submit(c, func() { w.complete(c, gen) })
+		k := w.newChunk()
+		k.c, k.gen = c, w.gen
+		w.vm.Submit(c, k.completeFn)
 	}
+}
+
+func (w *FiniteWork) newChunk() *workChunk {
+	if n := len(w.freeChunks); n > 0 {
+		k := w.freeChunks[n-1]
+		w.freeChunks = w.freeChunks[:n-1]
+		return k
+	}
+	k := &workChunk{w: w}
+	k.completeFn = k.complete
+	return k
 }
 
 func (w *FiniteWork) complete(c sim.Time, gen int) {

@@ -53,7 +53,9 @@ type Hypervisor interface {
 	// and leaves the split unchanged; the agent retries with backoff.
 	SetPrimaryCores(n int) (ResizeResult, error)
 	// DrainPrimaryWaits returns primary vCPU dispatch-wait samples (ns)
-	// recorded since the last call.
+	// recorded since the last call. The slice is valid only until the
+	// next call: an implementation may reuse its buffer, so a caller that
+	// keeps the samples must copy them.
 	DrainPrimaryWaits() []int64
 }
 
@@ -334,8 +336,9 @@ type Agent struct {
 	// Resilience state.
 	op             resizeOp
 	opDoneFn       func() // cached method values: the fault-free resize
-	opRetryFn      func() // continuations must not allocate per resize
-	wakeFn         func()
+	opRetryFn      func() // continuations and the 50 µs poll must not
+	wakeFn         func() // allocate per event
+	pollFn         func()
 	dead           bool     // ForceCrash downtime: every loop is severed
 	lastBusy       int      // last delivered busy reading (for dropped polls)
 	splitDirty     bool     // a fire-and-forget resize (QoS/churn) failed
@@ -386,6 +389,7 @@ func NewAgent(loop *sim.Loop, hv Hypervisor, ctrl Controller, cfg Config) (*Agen
 	a.opDoneFn = a.opDone
 	a.opRetryFn = a.opRetry
 	a.wakeFn = a.wake
+	a.pollFn = a.poll
 	return a, nil
 }
 
@@ -636,7 +640,7 @@ func (a *Agent) restartState(loseModel bool) {
 }
 
 func (a *Agent) schedulePoll() {
-	a.loop.After(a.cfg.PollInterval, a.poll)
+	a.loop.After(a.cfg.PollInterval, a.pollFn)
 }
 
 // poll is one iteration of Algorithm 1's inner loop.

@@ -120,25 +120,66 @@ func TestSafeguardModeRoundTrip(t *testing.T) {
 	}
 }
 
-// benchAgent drives a steady agent loop for allocation measurements.
-func benchAgent(b *testing.B, o obs.Observer) {
+// steadyAgentLoop returns the loop of a started agent running ctrl on a
+// fake hypervisor, advanced one simulated second to steady state (buffers
+// at capacity).
+func steadyAgentLoop(tb testing.TB, ctrl Controller, o obs.Observer) *sim.Loop {
+	tb.Helper()
 	loop := sim.NewLoop()
 	hv := newFake(loop, 11)
 	hv.busyFn = func(sim.Time) int { return 2 }
 	cfg := DefaultConfig(10, 1)
 	cfg.LongTermSafeguard = false
 	cfg.Observer = o
-	a, err := NewAgent(loop, hv, NewNoHarvest(10), cfg)
+	a, err := NewAgent(loop, hv, ctrl, cfg)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	a.Start()
-	loop.RunUntil(sim.Second) // reach steady state (buffers at capacity)
+	loop.RunUntil(sim.Second)
+	return loop
+}
+
+// benchAgent drives a steady agent loop for allocation measurements.
+func benchAgent(b *testing.B, o obs.Observer) {
+	loop := steadyAgentLoop(b, NewNoHarvest(10), o)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		loop.Step()
 	}
+}
+
+// guardSteps is how many loop steps one measured run of an allocation
+// guard covers. testing.AllocsPerRun and AllocsPerOp both divide the
+// malloc count as integers, so a guard measuring single steps rounds any
+// rate below one allocation per step down to zero and passes it.
+const guardSteps = 10000
+
+// blockAllocs returns the allocations per block of guardSteps steps of
+// loop; any allocation at all in the measured blocks makes it nonzero.
+func blockAllocs(loop *sim.Loop) float64 {
+	return testing.AllocsPerRun(5, func() {
+		for i := 0; i < guardSteps; i++ {
+			loop.Step()
+		}
+	})
+}
+
+// allocEveryOtherPoll is a guard mutant: a controller whose OnPoll
+// allocates on every second poll.
+type allocEveryOtherPoll struct {
+	Controller
+	polls int
+	buf   []byte
+}
+
+func (c *allocEveryOtherPoll) OnPoll(busy, target int) (int, bool) {
+	c.polls++
+	if c.polls%2 == 0 {
+		c.buf = make([]byte, 64)
+	}
+	return c.Controller.OnPoll(busy, target)
 }
 
 // BenchmarkAgentLoopNoObserver is the observability tax meter: with no
@@ -149,13 +190,26 @@ func BenchmarkAgentLoopNoObserver(b *testing.B) { benchAgent(b, nil) }
 // BenchmarkAgentLoopRingObserver is the enabled-path comparison point.
 func BenchmarkAgentLoopRingObserver(b *testing.B) { benchAgent(b, obs.NewRing(4096)) }
 
+// TestAgentLoopNoObserverZeroAllocs pins the steady agent+sim loop with
+// no observer at exactly zero allocations over blocks of guardSteps steps.
 func TestAgentLoopNoObserverZeroAllocs(t *testing.T) {
-	if testing.Short() {
-		t.Skip("benchmark-backed")
+	loop := steadyAgentLoop(t, NewNoHarvest(10), nil)
+	if a := blockAllocs(loop); a != 0 {
+		t.Fatalf("disabled-observer agent loop allocates %v per %d steps, want 0", a, guardSteps)
 	}
-	res := testing.Benchmark(BenchmarkAgentLoopNoObserver)
-	if a := res.AllocsPerOp(); a != 0 {
-		t.Fatalf("disabled-observer agent loop allocates %d/op, want 0", a)
+}
+
+// TestAgentLoopZeroAllocsGuardCatchesMutant proves the guard sound: a
+// controller allocating on every other poll must fail it, although a
+// per-step integer allocation count, such as AllocsPerOp, rounds the same
+// mutant's rate down to zero.
+func TestAgentLoopZeroAllocsGuardCatchesMutant(t *testing.T) {
+	loop := steadyAgentLoop(t, &allocEveryOtherPoll{Controller: NewNoHarvest(10)}, nil)
+	if a := testing.AllocsPerRun(guardSteps, func() { loop.Step() }); a != 0 {
+		t.Fatalf("per-step integer count %v; the mutant should slip under it", a)
+	}
+	if a := blockAllocs(loop); a == 0 {
+		t.Fatal("guard passed a controller that allocates on every other poll")
 	}
 }
 

@@ -161,6 +161,11 @@ type Core struct {
 	pendingSince sim.Time
 	eligible     bool // hypercalls have completed; effect may be applied
 	effectEvent  *sim.Event
+
+	// Event callbacks bound to this core once, so that scheduling a slice
+	// end or a move effect allocates nothing. sliceEndFn is bound at
+	// construction, effectFn on the core's first move (see beginMove).
+	sliceEndFn, effectFn func()
 }
 
 // Machine is the simulated server: cores, groups, VMs and the reassignment
@@ -173,6 +178,7 @@ type Machine struct {
 	cores  []*Core
 	queues [numGroups][]*VCPU // ready queues
 	counts [numGroups]int     // physical core counts
+	busy   [numGroups]int     // cores of each group running a vCPU
 	vms    []*VM
 
 	logical [numGroups]int // physical counts adjusted for pending moves
@@ -181,6 +187,7 @@ type Machine struct {
 
 	// Instrumentation.
 	primaryWaits  []int64 // dispatch waits (ns) since the last drain
+	drainedWaits  []int64 // the buffer the last drain returned
 	allWaits      [numGroups]*metrics.Histogram
 	growLatency   *metrics.Histogram // elastic +1 core: request -> effect
 	shrinkLatency *metrics.Histogram // elastic -1 core: request -> effect
@@ -211,8 +218,13 @@ func New(loop *sim.Loop, cfg Config) (*Machine, error) {
 	for g := GroupID(0); g < numGroups; g++ {
 		m.allWaits[g] = metrics.NewHistogram()
 	}
-	for i := 0; i < cfg.TotalCores; i++ {
-		m.cores = append(m.cores, &Core{id: i, group: PrimaryGroup})
+	cores := make([]Core, cfg.TotalCores)
+	m.cores = make([]*Core, cfg.TotalCores)
+	for i := range cores {
+		c := &cores[i]
+		c.id, c.group = i, PrimaryGroup
+		c.sliceEndFn = func() { m.sliceEnd(c) }
+		m.cores[i] = c
 	}
 	m.counts[PrimaryGroup] = cfg.TotalCores
 	m.logical[PrimaryGroup] = cfg.TotalCores
@@ -333,15 +345,9 @@ func (m *Machine) LogicalGroupCores(g GroupID) int { return m.logical[g] }
 // BusyCores returns how many cores of group g are currently executing a
 // vCPU. This is the paper's conservative "busy" signal: a core counts as
 // busy iff an active software thread is on it at the instant of the query.
-func (m *Machine) BusyCores(g GroupID) int {
-	n := 0
-	for _, c := range m.cores {
-		if c.group == g && c.running != nil {
-			n++
-		}
-	}
-	return n
-}
+// The count is maintained where a core starts or stops running a vCPU, so
+// the agent's 50 µs poll costs O(1) rather than a scan of every core.
+func (m *Machine) BusyCores(g GroupID) int { return m.busy[g] }
 
 // ReadyVCPUs returns the number of vCPUs in g's ready queue (demand that
 // could not be placed on a core).
@@ -350,9 +356,13 @@ func (m *Machine) ReadyVCPUs(g GroupID) int { return len(m.queues[g]) }
 // DrainPrimaryWaits returns the primary vCPU dispatch-wait samples (ns)
 // recorded since the previous call, and resets the buffer. The agent's
 // long-term safeguard consumes these every 500 ms.
+//
+// The returned slice is valid until the next call: the machine keeps two
+// buffers and records into the one the previous drain returned, so a
+// caller that needs the samples longer must copy them.
 func (m *Machine) DrainPrimaryWaits() []int64 {
 	out := m.primaryWaits
-	m.primaryWaits = nil
+	m.primaryWaits, m.drainedWaits = m.drainedWaits[:0], out
 	return out
 }
 
@@ -388,7 +398,8 @@ func (m *Machine) Preemptions() uint64 { return m.preemptions }
 // CheckInvariants verifies the machine's internal accounting: physical and
 // logical core counts both sum to TotalCores (core conservation across the
 // two groups), per-group counts match the cores actually assigned, every
-// running vCPU's back-pointer is coherent, and no VM runs more vCPUs than
+// running vCPU's back-pointer is coherent, the per-group busy counters
+// match the cores actually running a vCPU, and no VM runs more vCPUs than
 // its allocation. It returns a descriptive error for the first violation
 // found, or nil. The soak/property tests call it between random operations,
 // and internal/check folds it into a run's end-of-run verification.
@@ -402,11 +413,12 @@ func (m *Machine) CheckInvariants() error {
 		return fmt.Errorf("hypervisor: core conservation violated: physical %d, logical %d, total %d",
 			sumPhys, sumLog, m.cfg.TotalCores)
 	}
-	perGroup := map[GroupID]int{}
+	var perGroup, busy [numGroups]int
 	running := map[*VM]int{}
 	for _, c := range m.cores {
 		perGroup[c.group]++
 		if c.running != nil {
+			busy[c.group]++
 			running[c.running.vm]++
 			if c.running.core != c {
 				return fmt.Errorf("hypervisor: vCPU/core back-pointer mismatch on core %d", c.id)
@@ -416,6 +428,9 @@ func (m *Machine) CheckInvariants() error {
 	for g := GroupID(0); g < numGroups; g++ {
 		if perGroup[g] != m.counts[g] {
 			return fmt.Errorf("hypervisor: group %v count %d != actual %d", g, m.counts[g], perGroup[g])
+		}
+		if busy[g] != m.busy[g] {
+			return fmt.Errorf("hypervisor: group %v busy count %d != actual %d", g, m.busy[g], busy[g])
 		}
 	}
 	for vm, n := range running {
@@ -591,6 +606,16 @@ func (m *Machine) beginMove(c *Core, to GroupID, issueDone sim.Time) {
 	m.logical[c.group]--
 	m.logical[to]++
 
+	// Bound on the first move rather than at construction: a core that
+	// never moves never needs it, and building a machine stays at one
+	// callback allocation per core.
+	if c.effectFn == nil {
+		if m.cfg.Mechanism == IPI {
+			c.effectFn = func() { m.ipiEffect(c) }
+		} else {
+			c.effectFn = func() { m.cpugroupsEffect(c) }
+		}
+	}
 	switch m.cfg.Mechanism {
 	case IPI:
 		// Single merge hypercall plus IPI delivery; preemptive.
@@ -598,9 +623,9 @@ func (m *Machine) beginMove(c *Core, to GroupID, issueDone sim.Time) {
 		if delay < 5*sim.Microsecond {
 			delay = 5 * sim.Microsecond
 		}
-		c.effectEvent = m.loop.After(delay, func() { m.ipiEffect(c) })
+		c.effectEvent = m.loop.After(delay, c.effectFn)
 	case CpuGroups:
-		c.effectEvent = m.loop.At(issueDone, func() { m.cpugroupsEligible(c) })
+		c.effectEvent = m.loop.At(issueDone, c.effectFn)
 	}
 }
 
@@ -628,6 +653,17 @@ func (m *Machine) ipiEffect(c *Core) {
 	// The preempted vCPU (if any) waits in the old group's queue; give
 	// the old group a chance to place it on another of its cores.
 	m.trySchedule(from)
+}
+
+// cpugroupsEffect is a pending cpugroups move's effect callback. It fires
+// first when the hypercalls complete (the move is not yet eligible) and,
+// if the core was idle then, again at the core's idle-rebalance scan.
+func (m *Machine) cpugroupsEffect(c *Core) {
+	if c.eligible {
+		m.idleScan(c)
+	} else {
+		m.cpugroupsEligible(c)
+	}
 }
 
 // cpugroupsEligible marks the move as past its hypercalls. Idle cores are
@@ -661,18 +697,22 @@ func (m *Machine) scheduleIdleScan(c *Core) {
 	if at < now {
 		at += period
 	}
-	c.effectEvent = m.loop.At(at, func() {
-		if !c.pending || !c.eligible {
-			return
-		}
-		if c.running != nil {
-			// Core got dispatched in the meantime; the slice-end
-			// scheduling event will apply the move instead.
-			c.effectEvent = nil
-			return
-		}
-		m.applyMove(c)
-	})
+	c.effectEvent = m.loop.At(at, c.effectFn)
+}
+
+// idleScan is core c's idle-rebalance scan: it applies an eligible pending
+// move if the core is still idle.
+func (m *Machine) idleScan(c *Core) {
+	if !c.pending || !c.eligible {
+		return
+	}
+	if c.running != nil {
+		// Core got dispatched in the meantime; the slice-end
+		// scheduling event will apply the move instead.
+		c.effectEvent = nil
+		return
+	}
+	m.applyMove(c)
 }
 
 // applyMove transfers the (idle) core to its pending group and records the
@@ -719,6 +759,7 @@ func (m *Machine) preempt(c *Core) {
 	v.vm.cpuTime += consumed
 	v.vm.running--
 	c.running = nil
+	m.busy[c.group]--
 	m.preemptions++
 	if v.remaining <= 0 {
 		m.finishWork(v)
@@ -806,13 +847,14 @@ func (m *Machine) dispatch(c *Core, v *VCPU) {
 	v.core = c
 	v.vm.running++
 	c.running = v
+	m.busy[c.group]++
 	c.workStart = now + overhead
 	slice := v.remaining
 	if slice > m.cfg.SchedPeriod {
 		slice = m.cfg.SchedPeriod
 	}
 	c.sliceWork = slice
-	c.sliceEvent = m.loop.After(overhead+slice, func() { m.sliceEnd(c) })
+	c.sliceEvent = m.loop.After(overhead+slice, c.sliceEndFn)
 }
 
 // sliceEnd handles the end of a timeslice: work accounting, work
@@ -825,6 +867,7 @@ func (m *Machine) sliceEnd(c *Core) {
 	v.vm.running--
 	c.running = nil
 	g := c.group
+	m.busy[g]--
 
 	if v.remaining <= 0 {
 		m.finishWork(v)
@@ -833,6 +876,7 @@ func (m *Machine) sliceEnd(c *Core) {
 		// without a wait sample (the hypervisor would not deschedule).
 		v.vm.running++
 		c.running = v
+		m.busy[g]++
 		now := m.loop.Now()
 		c.workStart = now
 		slice := v.remaining
@@ -840,7 +884,7 @@ func (m *Machine) sliceEnd(c *Core) {
 			slice = m.cfg.SchedPeriod
 		}
 		c.sliceWork = slice
-		c.sliceEvent = m.loop.After(slice, func() { m.sliceEnd(c) })
+		c.sliceEvent = m.loop.After(slice, c.sliceEndFn)
 		return
 	} else {
 		v.state = vcpuReady

@@ -21,8 +21,8 @@ func BenchmarkLoop(b *testing.B) {
 	}
 }
 
-// BenchmarkTicker measures one tick of the 50 µs busy-poll ticker that
-// dominates every agent run (~20,000 fires per simulated second).
+// BenchmarkTicker measures one tick of a 50 µs ticker, the cadence of the
+// agent's busy poll (~20,000 fires per simulated second per agent).
 func BenchmarkTicker(b *testing.B) {
 	l := NewLoop()
 	ticks := 0

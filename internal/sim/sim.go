@@ -7,8 +7,8 @@
 // RunPaced, which drives the same loop in wall time so the agent can run
 // on a real host; the callbacks still see only virtual time.
 //
-// The event loop is on the hot path of every experiment (a busy-poll
-// ticker alone fires ~20,000 events per simulated second per agent), so
+// The event loop is on the hot path of every experiment (the agent's 50 µs
+// busy poll alone fires ~20,000 events per simulated second per agent), so
 // the queue is a hand-rolled binary heap — no container/heap interface
 // round-trips or `any` boxing — and fired or canceled events are recycled
 // through a per-Loop free list instead of being left to the garbage

@@ -460,13 +460,23 @@ func BenchmarkScheduleAndFire(b *testing.B) {
 
 // TestScheduleAndFireZeroAllocs pins the event-loop hot path at zero
 // allocations per schedule+fire cycle — the property the observability
-// layer's disabled path depends on. CI also runs the benchmark directly.
+// layer's disabled path depends on. Each measured run covers 10,000
+// cycles: testing.AllocsPerRun divides as integers, so a run of one cycle
+// would round any rate below one allocation per cycle down to zero. CI
+// also runs the benchmark directly.
 func TestScheduleAndFireZeroAllocs(t *testing.T) {
-	if testing.Short() {
-		t.Skip("benchmark-backed")
-	}
-	res := testing.Benchmark(BenchmarkScheduleAndFire)
-	if a := res.AllocsPerOp(); a != 0 {
-		t.Fatalf("schedule+fire allocates %d/op, want 0", a)
+	const cycles = 10000
+	l := NewLoop()
+	fn := func() {}
+	l.After(Microsecond, fn)
+	l.Step() // put one event on the free list
+	a := testing.AllocsPerRun(5, func() {
+		for i := 0; i < cycles; i++ {
+			l.After(Microsecond, fn)
+			l.Step()
+		}
+	})
+	if a != 0 {
+		t.Fatalf("schedule+fire allocates %v per %d cycles, want 0", a, cycles)
 	}
 }

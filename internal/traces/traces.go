@@ -9,9 +9,10 @@ package traces
 
 import (
 	"bufio"
+	"cmp"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -73,12 +74,20 @@ func (c *Config) validate() error {
 
 // Generate synthesizes a trace: background Poisson arrivals (optionally
 // rate-modulated) overlaid with clustered bursts.
+//
+// The background arrivals are drawn in time order, so only the burst
+// arrivals need sorting; they are then merged into the background ones.
+// Every event is {At, Batch: 1}, so events with equal At are identical and
+// the result equals a sort of all draws by At.
 func Generate(cfg Config) ([]workload.TraceEvent, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	rng := simrng.New(cfg.Seed)
-	var events []workload.TraceEvent
+	// Room for the expected request count plus 10% for Poisson spread,
+	// so a typical trace never regrows its buffer.
+	expected := cfg.QPS * cfg.Span.Seconds() * 1.1
+	events := make([]workload.TraceEvent, 0, int(expected)+16)
 
 	// Background traffic.
 	bgQPS := cfg.QPS * (1 - cfg.BurstFraction)
@@ -99,7 +108,9 @@ func Generate(cfg Config) ([]workload.TraceEvent, error) {
 	}
 
 	// Bursts: each burst carries a geometric number of requests spread
-	// over BurstWidth.
+	// over BurstWidth. They are drawn after every background arrival,
+	// appended behind them, sorted, and merged in.
+	nbg := len(events)
 	if cfg.BurstFraction > 0 {
 		burstQPS := cfg.QPS * cfg.BurstFraction
 		perBurst := burstQPS / cfg.BurstRate
@@ -118,11 +129,31 @@ func Generate(cfg Config) ([]workload.TraceEvent, error) {
 		}
 	}
 
-	sort.Slice(events, func(i, j int) bool { return events[i].At < events[j].At })
 	if len(events) == 0 {
 		return nil, fmt.Errorf("traces: configuration produced an empty trace")
 	}
+	bursts := events[nbg:]
+	slices.SortFunc(bursts, func(a, b workload.TraceEvent) int { return cmp.Compare(a.At, b.At) })
+	mergeTail(events, nbg)
 	return events, nil
+}
+
+// mergeTail merges the sorted runs events[:n] and events[n:] into one
+// sorted slice in place. Only the tail run (the bursts, a small share of a
+// trace) is copied out; the merge fills events from the back, so no
+// element of the head run is overwritten before it is read.
+func mergeTail(events []workload.TraceEvent, n int) {
+	tail := slices.Clone(events[n:])
+	i, j := n-1, len(tail)-1
+	for k := len(events) - 1; j >= 0; k-- {
+		if i >= 0 && events[i].At > tail[j].At {
+			events[k] = events[i]
+			i--
+		} else {
+			events[k] = tail[j]
+			j--
+		}
+	}
 }
 
 // sinApprox is a cheap sine over one period phase in [0,1), accurate

@@ -48,6 +48,59 @@ type Server struct {
 	completed uint64
 	offered   uint64
 	started   bool
+
+	// The request path allocates nothing at steady state: the arrival
+	// callback is bound once, and requests and staggered subtasks are
+	// recycled through free lists, each with its callback bound once.
+	arriveFn func()
+	batch    int // requests carried by the pending arrival event
+	freeReqs []*request
+	freeSubs []*stagedSubtask
+}
+
+// request is one in-flight request: its arrival time and how many of its
+// subtasks are still running. It returns to its server's free list when
+// the last subtask completes.
+type request struct {
+	s         *Server
+	start     sim.Time
+	remaining int
+	joinFn    func() // r.join bound once
+}
+
+// join records one finished subtask, completing the request after the
+// last one.
+func (r *request) join() {
+	r.remaining--
+	if r.remaining > 0 {
+		return
+	}
+	s := r.s
+	s.completed++
+	if r.start >= s.cfg.Warmup {
+		lat := int64(s.loop.Now() - r.start)
+		s.latency.Record(lat)
+		if len(s.phases) > 0 {
+			s.phases[s.phaseIndex(r.start)].Record(lat)
+		}
+	}
+	s.freeReqs = append(s.freeReqs, r)
+}
+
+// stagedSubtask is a subtask whose submission is delayed by the server's
+// Stagger distribution. It returns to its server's free list once
+// submitted.
+type stagedSubtask struct {
+	req      *request
+	work     sim.Time
+	submitFn func() // st.submit bound once
+}
+
+func (st *stagedSubtask) submit() {
+	s := st.req.s
+	s.vm.Submit(st.work, st.req.joinFn)
+	st.req = nil
+	s.freeSubs = append(s.freeSubs, st)
 }
 
 // NewServer binds a server to a VM. The server does not generate load
@@ -65,6 +118,7 @@ func NewServer(loop *sim.Loop, vm *hypervisor.VM, cfg ServerConfig) *Server {
 		}
 	}
 	s := &Server{cfg: cfg, loop: loop, vm: vm, latency: metrics.NewHistogram()}
+	s.arriveFn = s.arrive
 	if n := len(cfg.PhaseBoundaries); n > 0 {
 		for i := 0; i <= n; i++ {
 			s.phases = append(s.phases, metrics.NewHistogram())
@@ -143,40 +197,55 @@ func (s *Server) Start() {
 
 func (s *Server) scheduleNext() {
 	gap, batch := s.cfg.Arrival.Next(s.loop.Now())
-	s.loop.After(gap, func() {
-		for i := 0; i < batch; i++ {
-			s.admit()
-		}
-		s.scheduleNext()
-	})
+	s.batch = batch
+	s.loop.After(gap, s.arriveFn)
+}
+
+// arrive admits the pending arrival event's batch and schedules the next.
+func (s *Server) arrive() {
+	for i := 0; i < s.batch; i++ {
+		s.admit()
+	}
+	s.scheduleNext()
 }
 
 // admit starts one request: fan out subtasks and join.
 func (s *Server) admit() {
 	s.offered++
-	start := s.loop.Now()
 	n := s.cfg.Fanout.SampleFanout()
-	remaining := n
-	join := func() {
-		remaining--
-		if remaining > 0 {
-			return
-		}
-		s.completed++
-		if start >= s.cfg.Warmup {
-			lat := int64(s.loop.Now() - start)
-			s.latency.Record(lat)
-			if len(s.phases) > 0 {
-				s.phases[s.phaseIndex(start)].Record(lat)
-			}
-		}
-	}
+	r := s.newRequest()
+	r.start = s.loop.Now()
+	r.remaining = n
 	for i := 0; i < n; i++ {
 		work := s.cfg.Service.Sample()
 		if i == 0 || s.cfg.Stagger == nil {
-			s.vm.Submit(work, join)
+			s.vm.Submit(work, r.joinFn)
 			continue
 		}
-		s.loop.After(s.cfg.Stagger.Sample(), func() { s.vm.Submit(work, join) })
+		st := s.newStagedSubtask()
+		st.req, st.work = r, work
+		s.loop.After(s.cfg.Stagger.Sample(), st.submitFn)
 	}
+}
+
+func (s *Server) newRequest() *request {
+	if n := len(s.freeReqs); n > 0 {
+		r := s.freeReqs[n-1]
+		s.freeReqs = s.freeReqs[:n-1]
+		return r
+	}
+	r := &request{s: s}
+	r.joinFn = r.join
+	return r
+}
+
+func (s *Server) newStagedSubtask() *stagedSubtask {
+	if n := len(s.freeSubs); n > 0 {
+		st := s.freeSubs[n-1]
+		s.freeSubs = s.freeSubs[:n-1]
+		return st
+	}
+	st := &stagedSubtask{}
+	st.submitFn = st.submit
+	return st
 }
