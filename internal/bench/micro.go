@@ -31,10 +31,10 @@ type Micro struct {
 }
 
 // Micros returns the pinned snapshot set, covering every hot subsystem:
-// the sim event loop (schedule/fire, ticker, cancel), the CSOAA learner
-// (feature computation, predict, update), and the fleet job scheduler
-// (small end-to-end placement run). Order is fixed; names are part of
-// the BENCH_*.json contract.
+// the sim event loop (schedule/fire, ticker, cancel, and the fleet's
+// poll-lane mix), the CSOAA learner (feature computation, predict,
+// update), market admission, and a small end-to-end fleet scheduler run.
+// Order is fixed; names are part of the BENCH_*.json contract.
 func Micros() []Micro {
 	return []Micro{
 		{
@@ -72,6 +72,31 @@ func Micros() []Micro {
 					for i := 0; i < n; i++ {
 						e := l.After(sim.Millisecond, fn)
 						l.Cancel(e)
+					}
+				}
+			},
+		},
+		{
+			Name: "sim/poll-lane", Pkg: "./internal/sim", GoBench: "BenchmarkPollLane",
+			Setup: func() func(n int) {
+				l := sim.NewLoop()
+				var poll func()
+				poll = func() { l.AfterFixed(50*sim.Microsecond, poll) }
+				for i := 0; i < 8; i++ {
+					l.At(sim.Time(i+1)*sim.Microsecond, poll)
+				}
+				x := uint64(1)
+				var background func()
+				background = func() {
+					x = x*6364136223846793005 + 1442695040888963407
+					l.After(sim.Time(1+x>>33%6400)*sim.Microsecond, background)
+				}
+				for i := 0; i < 96; i++ {
+					background()
+				}
+				return func(n int) {
+					for i := 0; i < n; i++ {
+						l.Step()
 					}
 				}
 			},
@@ -144,7 +169,7 @@ func Micros() []Micro {
 			},
 		},
 		{
-			Name: "sched/placement", Pkg: "./internal/sched", GoBench: "BenchmarkPlacement",
+			Name: "fleet/sched-run", Pkg: "./internal/sched", GoBench: "BenchmarkSchedRun",
 			Setup: func() func(n int) {
 				return func(n int) {
 					for i := 0; i < n; i++ {

@@ -15,6 +15,7 @@ package cluster
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"smartharvest/internal/apps"
@@ -148,7 +149,7 @@ type server struct {
 	machine *hypervisor.Machine
 	agent   *core.Agent
 	evm     *hypervisor.VM
-	tenants map[*tenant]struct{}
+	tenants []*tenant // resident tenants in placement order
 
 	maxAlloc           int
 	warmCoreSec        float64 // elastic core-seconds at warmup
@@ -298,8 +299,7 @@ func NewFleet(cfg Config) (*Fleet, error) {
 		}
 		agent.Start()
 		f.servers[i] = &server{
-			machine: machine, agent: agent, evm: evm,
-			tenants: map[*tenant]struct{}{}, maxAlloc: maxAlloc,
+			machine: machine, agent: agent, evm: evm, maxAlloc: maxAlloc,
 		}
 	}
 
@@ -366,7 +366,7 @@ func NewFleet(cfg Config) (*Fleet, error) {
 		}
 		srv.Start()
 		tn := &tenant{vm: vm, server: target, srv: srv, spec: spec}
-		target.tenants[tn] = struct{}{}
+		target.tenants = append(target.tenants, tn)
 		target.tenantsHostedTotal++
 		f.res.Placed++
 		if err := target.agent.SetPrimaryAlloc(target.allocUsed(cfg.VMCores)); err != nil {
@@ -381,7 +381,8 @@ func NewFleet(cfg Config) (*Fleet, error) {
 			}
 			f.merged.Merge(tn.srv.Latency())
 			tn.server.machine.RemoveVM(tn.vm)
-			delete(tn.server.tenants, tn)
+			i := slices.Index(tn.server.tenants, tn)
+			tn.server.tenants = slices.Delete(tn.server.tenants, i, i+1)
 			f.res.Departed++
 			alloc := tn.server.allocUsed(cfg.VMCores)
 			if alloc < 1 {
@@ -583,9 +584,11 @@ func (f *Fleet) Finish() (*Result, error) {
 	if f.fleetInj != nil {
 		res.FaultsInjected += f.fleetInj.Total()
 	}
-	// Latencies of tenants still resident at the end.
+	// Latencies of tenants still resident at the end, merged in placement
+	// order: the merge sums floats, so a fixed order keeps Mean and
+	// Stddev bit-identical between runs of one seed.
 	for _, s := range f.servers {
-		for tn := range s.tenants {
+		for _, tn := range s.tenants {
 			f.merged.Merge(tn.srv.Latency())
 		}
 	}

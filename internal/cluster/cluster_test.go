@@ -1,12 +1,14 @@
 package cluster
 
 import (
+	"math"
 	"testing"
 
 	"smartharvest/internal/apps"
 	"smartharvest/internal/core"
 	"smartharvest/internal/faults"
 	"smartharvest/internal/harness"
+	"smartharvest/internal/metrics"
 	"smartharvest/internal/obs"
 	"smartharvest/internal/sim"
 )
@@ -133,6 +135,38 @@ func TestFleetDeterminism(t *testing.T) {
 	if a.Placed != b.Placed || a.Departed != b.Departed ||
 		a.FleetAvgHarvested != b.FleetAvgHarvested {
 		t.Fatalf("fleet runs diverged: %+v vs %+v", a, b)
+	}
+}
+
+// TestFleetTenantLatencyBitIdentical: Finish merges the latency
+// histograms of tenants still resident at the end, and the merge sums
+// floats, so the merge order must not vary between runs of one seed.
+// The fleet is kept full (long lifetimes, frequent arrivals) so every
+// server ends with several resident tenants behind earlier departures.
+func TestFleetTenantLatencyBitIdentical(t *testing.T) {
+	run := func() metrics.Summary {
+		res, err := Run(Config{
+			Servers: 6, VMCores: 4, ArrivalRate: 16, MeanLifetime: 3 * sim.Second,
+			Duration: 3 * sim.Second, Warmup: 500 * sim.Millisecond, Seed: 5,
+			Workloads: []apps.PrimarySpec{apps.Moses(200), apps.ImgDNN(200)},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Departed == 0 || res.Placed-res.Departed < 2*len(res.PerServer) {
+			t.Fatalf("placed %d departed %d: want departures and several resident tenants per server",
+				res.Placed, res.Departed)
+		}
+		return res.TenantLatency
+	}
+	want := run()
+	for i := 0; i < 20; i++ {
+		got := run()
+		if math.Float64bits(got.Mean) != math.Float64bits(want.Mean) ||
+			math.Float64bits(got.Stddev) != math.Float64bits(want.Stddev) {
+			t.Fatalf("run %d: tenant latency mean/stddev %v/%v, first run %v/%v",
+				i+1, got.Mean, got.Stddev, want.Mean, want.Stddev)
+		}
 	}
 }
 

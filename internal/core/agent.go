@@ -640,7 +640,7 @@ func (a *Agent) restartState(loseModel bool) {
 }
 
 func (a *Agent) schedulePoll() {
-	a.loop.After(a.cfg.PollInterval, a.pollFn)
+	a.loop.AfterFixed(a.cfg.PollInterval, a.pollFn)
 }
 
 // poll is one iteration of Algorithm 1's inner loop.

@@ -363,8 +363,8 @@ type serverHealth struct {
 }
 
 // BenchConfig is the pinned small-fleet configuration behind the perf
-// snapshot's sched/placement entry (internal/bench) and the
-// BenchmarkPlacement twin in this package's tests: a churny two-server
+// snapshot's fleet/sched-run entry (internal/bench) and the
+// BenchmarkSchedRun twin in this package's tests: a churny two-server
 // fleet whose reconcile loop exercises placement, eviction, and requeue
 // within one simulated second. Changing it invalidates BENCH_*.json
 // comparisons for that entry, so treat the constants as frozen.

@@ -193,11 +193,11 @@ func TestSchedConfigValidation(t *testing.T) {
 	}
 }
 
-// BenchmarkPlacement is the go-test twin of the perf snapshot's
-// sched/placement micro (internal/bench): one iteration is one
+// BenchmarkSchedRun is the go-test twin of the perf snapshot's
+// fleet/sched-run micro (internal/bench): one iteration is one
 // BenchConfig run — placement, reconcile, eviction, and requeue end to
 // end on a churny two-server fleet.
-func BenchmarkPlacement(b *testing.B) {
+func BenchmarkSchedRun(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := Run(BenchConfig(1)); err != nil {

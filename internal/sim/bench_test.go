@@ -49,3 +49,32 @@ func BenchmarkCancel(b *testing.B) {
 		l.Cancel(e)
 	}
 }
+
+// BenchmarkPollLane measures one event of the fleet's shape: 8 agents
+// polling every 50 µs through AfterFixed (one shared lane) over about 96
+// background heap events, each re-scheduled with a pseudo-random delay
+// of up to 6.4 ms, so polls are about 84% of fired events. It is the
+// go-test twin of the perf snapshot's sim/poll-lane micro
+// (internal/bench).
+func BenchmarkPollLane(b *testing.B) {
+	l := NewLoop()
+	var poll func()
+	poll = func() { l.AfterFixed(50*Microsecond, poll) }
+	for i := 0; i < 8; i++ {
+		l.At(Time(i+1)*Microsecond, poll) // staggered first polls
+	}
+	x := uint64(1)
+	var background func()
+	background = func() {
+		x = x*6364136223846793005 + 1442695040888963407 // 64-bit LCG
+		l.After(Time(1+x>>33%6400)*Microsecond, background)
+	}
+	for i := 0; i < 96; i++ {
+		background()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		l.Step()
+	}
+}

@@ -9,10 +9,17 @@
 //
 // The event loop is on the hot path of every experiment (the agent's 50 µs
 // busy poll alone fires ~20,000 events per simulated second per agent), so
-// the queue is a hand-rolled binary heap — no container/heap interface
-// round-trips or `any` boxing — and fired or canceled events are recycled
-// through a per-Loop free list instead of being left to the garbage
-// collector.
+// the queue has two parts. Events scheduled with At and After go to a
+// hand-rolled binary heap — no container/heap interface round-trips or
+// `any` boxing. Events scheduled with AfterFixed go to a FIFO lane per
+// delay: the clock never runs backwards, so events scheduled with one
+// fixed delay come due in the order they were scheduled, and a ring
+// buffer of them is already sorted. Each step fires the earlier of the
+// heap top and the earliest lane head (kept up to date as lanes change)
+// under one (time, sequence) order, so the fire order does not depend on
+// which part holds an event. Fired or
+// canceled events are recycled through a per-Loop free list instead of
+// being left to the garbage collector.
 package sim
 
 import (
@@ -52,7 +59,7 @@ func (t Time) Microseconds() float64 { return float64(t) / float64(Microsecond) 
 func (t Time) String() string { return time.Duration(t).String() }
 
 // Event is a scheduled callback. The zero value is invalid; events are
-// created through Loop.At and Loop.After.
+// created through Loop.At, Loop.After and Loop.AfterFixed.
 //
 // An *Event is owned by its Loop and is only valid while the event is
 // pending: once it fires or is canceled the Loop may recycle the struct
@@ -64,7 +71,8 @@ type Event struct {
 	when Time
 	seq  uint64 // tie-break: FIFO among events at the same instant
 	fn   func()
-	idx  int // heap index; -1 once fired/canceled
+	idx  int32 // heap index (0 in a lane); -1 once fired/canceled
+	lane int32 // 1 + index of the lane holding the event; 0 for the heap
 }
 
 // When returns the virtual time at which the event fires (or fired).
@@ -89,11 +97,53 @@ func (a *Event) before(b *Event) bool {
 // share no state, so independent simulations can run on concurrent
 // goroutines (see internal/harness.RunAll).
 type Loop struct {
-	now     Time
-	queue   []*Event // binary min-heap ordered by (when, seq)
-	free    []*Event // recycled events, reused by At/After
-	nextSeq uint64
-	fired   uint64
+	now      Time
+	queue    []*Event // binary min-heap ordered by (when, seq)
+	lanes    []lane   // FIFO lanes of AfterFixed events, one per delay
+	laneHead *Event   // earliest lane head; nil when every lane is empty
+	inLanes  int      // pending (not canceled) events in lanes
+	free     []*Event // recycled events, reused by At/After/AfterFixed
+	nextSeq  uint64
+	fired    uint64
+}
+
+// maxLanes bounds the number of lanes. A delay without a lane takes over
+// an empty one, or else falls back to the heap, so a caller using many
+// delays costs each step at most maxLanes extra comparisons.
+const maxLanes = 4
+
+// lane is a FIFO of events scheduled with one fixed delay d, kept as a
+// ring buffer whose length is a power of two. Its head is always a
+// pending event: canceled entries stay in place until they reach the
+// head and are recycled there.
+type lane struct {
+	d    Time
+	ring []*Event
+	head int
+	n    int
+}
+
+func (q *lane) front() *Event { return q.ring[q.head] }
+
+func (q *lane) push(e *Event) {
+	if q.n == len(q.ring) {
+		ring := make([]*Event, max(8, 2*len(q.ring)))
+		for i := 0; i < q.n; i++ {
+			ring[i] = q.ring[(q.head+i)&(len(q.ring)-1)]
+		}
+		q.ring, q.head = ring, 0
+	}
+	q.ring[(q.head+q.n)&(len(q.ring)-1)] = e
+	q.n++
+}
+
+func (q *lane) pop() *Event {
+	e := q.ring[q.head]
+	q.ring[q.head] = nil
+	q.head = (q.head + 1) & (len(q.ring) - 1)
+	q.n--
+	e.lane = 0
+	return e
 }
 
 // NewLoop returns an empty loop with the clock at zero.
@@ -102,8 +152,9 @@ func NewLoop() *Loop { return &Loop{} }
 // Now returns the current virtual time.
 func (l *Loop) Now() Time { return l.now }
 
-// Len returns the number of pending events.
-func (l *Loop) Len() int { return len(l.queue) }
+// Len returns the number of pending events. Canceled events are not
+// pending, even while a lane still holds them.
+func (l *Loop) Len() int { return len(l.queue) + l.inLanes }
 
 // Fired returns the total number of events executed so far; useful in
 // tests and as a progress measure.
@@ -131,16 +182,88 @@ func (l *Loop) After(d Time, fn func()) *Event {
 	return l.At(l.now+d, fn)
 }
 
+// AfterFixed schedules fn to run d after the current time, exactly like
+// After. It is faster for a delay the caller uses over and over, such as
+// a polling period: events with equal d share a FIFO lane instead of
+// going through the heap. Which of After and AfterFixed schedules an
+// event never changes when or in what order it fires.
+func (l *Loop) AfterFixed(d Time, fn func()) *Event {
+	if d < 0 {
+		panic(fmt.Sprintf("sim: negative delay %v", d))
+	}
+	if fn == nil {
+		panic("sim: scheduling nil callback")
+	}
+	k := l.laneFor(d)
+	if k < 0 {
+		return l.At(l.now+d, fn)
+	}
+	e := l.alloc(l.now+d, fn)
+	e.idx, e.lane = 0, int32(k+1)
+	q := &l.lanes[k]
+	q.push(e)
+	l.inLanes++
+	if q.n == 1 && (l.laneHead == nil || e.before(l.laneHead)) {
+		l.laneHead = e // e heads a lane that was empty
+	}
+	return e
+}
+
+// laneFor returns the index of d's lane, opening one if there is room
+// or an empty lane to take over, and -1 when every lane is busy with
+// another delay.
+func (l *Loop) laneFor(d Time) int {
+	empty := -1
+	for k := range l.lanes {
+		if l.lanes[k].d == d {
+			return k
+		}
+		if l.lanes[k].n == 0 && empty < 0 {
+			empty = k
+		}
+	}
+	if len(l.lanes) < maxLanes {
+		l.lanes = append(l.lanes, lane{d: d})
+		return len(l.lanes) - 1
+	}
+	if empty >= 0 {
+		l.lanes[empty].d = d
+	}
+	return empty
+}
+
 // Cancel removes a pending event and recycles it. Canceling nil, or an
 // event that already fired or was already canceled (and has not been
-// recycled since — see the Event doc comment), is a no-op.
+// recycled since — see the Event doc comment), is a no-op. A canceled
+// lane event stays in its lane until it reaches the head, where it is
+// recycled.
 func (l *Loop) Cancel(e *Event) {
 	if e == nil || e.idx < 0 {
 		return
 	}
-	l.removeAt(e.idx)
+	if e.lane != 0 {
+		e.idx = -1
+		l.inLanes--
+		l.trimLane(&l.lanes[e.lane-1])
+		return
+	}
+	l.removeAt(int(e.idx))
 	e.idx = -1
 	l.recycle(e)
+}
+
+// trimLane recycles canceled events at q's head, so the head is pending,
+// and recomputes the earliest lane head.
+func (l *Loop) trimLane(q *lane) {
+	for q.n > 0 && q.front().idx < 0 {
+		l.recycle(q.pop())
+	}
+	l.laneHead = nil
+	for i := range l.lanes {
+		if q := &l.lanes[i]; q.n > 0 && (l.laneHead == nil || q.front().before(l.laneHead)) {
+			l.laneHead = q.front()
+		}
+	}
 }
 
 // alloc takes an event from the free list (or the heap allocator) and
@@ -225,11 +348,11 @@ func (l *Loop) siftUp(i int, e *Event) {
 			break
 		}
 		q[i] = q[p]
-		q[i].idx = i
+		q[i].idx = int32(i)
 		i = p
 	}
 	q[i] = e
-	e.idx = i
+	e.idx = int32(i)
 }
 
 // siftDown places e at index i and restores heap order toward the leaves.
@@ -248,16 +371,36 @@ func (l *Loop) siftDown(i int, e *Event) {
 			break
 		}
 		q[i] = q[c]
-		q[i].idx = i
+		q[i].idx = int32(i)
 		i = c
 	}
 	q[i] = e
-	e.idx = i
+	e.idx = int32(i)
 }
 
-// step fires the earliest pending event. The queue must be non-empty.
-func (l *Loop) step() {
-	e := l.popFront()
+// next returns the earliest pending event, or nil when none is pending:
+// the heap top or the earliest lane head, whichever is before the other.
+func (l *Loop) next() *Event {
+	if len(l.queue) == 0 {
+		return l.laneHead
+	}
+	if e := l.queue[0]; l.laneHead == nil || e.before(l.laneHead) {
+		return e
+	}
+	return l.laneHead
+}
+
+// step fires e, the event next returned.
+func (l *Loop) step(e *Event) {
+	if e.lane == 0 {
+		l.popFront()
+	} else {
+		q := &l.lanes[e.lane-1]
+		q.pop()
+		e.idx = -1
+		l.inLanes--
+		l.trimLane(q)
+	}
 	l.now = e.when
 	fn := e.fn
 	e.fn = nil
@@ -271,18 +414,19 @@ func (l *Loop) step() {
 // Step executes the next pending event, advancing the clock to its time.
 // It returns false if the queue is empty.
 func (l *Loop) Step() bool {
-	if len(l.queue) == 0 {
+	e := l.next()
+	if e == nil {
 		return false
 	}
-	l.step()
+	l.step(e)
 	return true
 }
 
 // RunUntil executes events until the clock would pass end, then sets the
 // clock to exactly end. Events scheduled at exactly end do run.
 func (l *Loop) RunUntil(end Time) {
-	for len(l.queue) > 0 && l.queue[0].when <= end {
-		l.step()
+	for e := l.next(); e != nil && e.when <= end; e = l.next() {
+		l.step(e)
 	}
 	if l.now < end {
 		l.now = end
@@ -291,8 +435,8 @@ func (l *Loop) RunUntil(end Time) {
 
 // Run executes events until the queue is empty.
 func (l *Loop) Run() {
-	for len(l.queue) > 0 {
-		l.step()
+	for e := l.next(); e != nil; e = l.next() {
+		l.step(e)
 	}
 }
 
@@ -319,13 +463,17 @@ func (RealClock) Sleep(d time.Duration) { time.Sleep(d) }
 // queue is empty.
 func (l *Loop) RunPaced(ctx context.Context, c Clock) {
 	wall0, virt0 := c.Now(), l.now
-	for len(l.queue) > 0 && ctx.Err() == nil {
-		due := wall0.Add((l.queue[0].when - virt0).ToDuration())
+	for ctx.Err() == nil {
+		e := l.next()
+		if e == nil {
+			return
+		}
+		due := wall0.Add((e.when - virt0).ToDuration())
 		if d := due.Sub(c.Now()); d > 0 {
 			c.Sleep(d)
 			continue // re-check ctx and the head after sleeping
 		}
-		l.step()
+		l.step(e)
 	}
 }
 

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -458,25 +459,50 @@ func BenchmarkScheduleAndFire(b *testing.B) {
 	}
 }
 
-// TestScheduleAndFireZeroAllocs pins the event-loop hot path at zero
-// allocations per schedule+fire cycle — the property the observability
-// layer's disabled path depends on. Each measured run covers 10,000
-// cycles: testing.AllocsPerRun divides as integers, so a run of one cycle
-// would round any rate below one allocation per cycle down to zero. CI
-// also runs the benchmark directly.
-func TestScheduleAndFireZeroAllocs(t *testing.T) {
+// blockAllocs returns the allocations of one block of 10,000 cycles, each
+// scheduling a heap event (After) and a lane event (schedFixed) and
+// firing both, after a warm-up block that sizes the free list and the
+// lane. testing.AllocsPerRun divides as integers, so a run of one cycle
+// would round any rate below one allocation per cycle down to zero.
+func blockAllocs(schedFixed func(l *Loop, d Time, fn func()) *Event) float64 {
 	const cycles = 10000
 	l := NewLoop()
 	fn := func() {}
-	l.After(Microsecond, fn)
-	l.Step() // put one event on the free list
-	a := testing.AllocsPerRun(5, func() {
+	block := func() {
 		for i := 0; i < cycles; i++ {
 			l.After(Microsecond, fn)
 			l.Step()
+			schedFixed(l, 50*Microsecond, fn)
+			l.Step()
 		}
-	})
-	if a != 0 {
-		t.Fatalf("schedule+fire allocates %v per %d cycles, want 0", a, cycles)
+	}
+	block()
+	return testing.AllocsPerRun(5, block)
+}
+
+// TestScheduleAndFireZeroAllocs pins the event-loop hot path at zero
+// allocations per schedule+fire cycle — the property the observability
+// layer's disabled path depends on — for heap events and lane events
+// alike. Each measured run covers 10,000 cycles (see blockAllocs). CI
+// also runs the benchmark directly.
+func TestScheduleAndFireZeroAllocs(t *testing.T) {
+	if a := blockAllocs((*Loop).AfterFixed); a != 0 {
+		t.Fatalf("schedule+fire allocates %v per 10,000 heap+lane cycles, want 0", a)
+	}
+}
+
+// TestLaneZeroAllocsGuardCatchesMutant proves the lane half of the guard
+// is not vacuous: a lane push that reallocates its ring on every push
+// (half an allocation per fired event, which a per-step integer count
+// rounds to zero) must fail it.
+func TestLaneZeroAllocsGuardCatchesMutant(t *testing.T) {
+	allocatingPush := func(l *Loop, d Time, fn func()) *Event {
+		e := l.AfterFixed(d, fn)
+		q := &l.lanes[0]
+		q.ring = slices.Clone(q.ring)
+		return e
+	}
+	if a := blockAllocs(allocatingPush); a < 10000 {
+		t.Fatalf("guard measured %v allocations per 10,000 cycles for a lane push that allocates every time", a)
 	}
 }

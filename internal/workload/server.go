@@ -183,7 +183,8 @@ func (s *Server) ConfigurePhases(boundaries []sim.Time) {
 // warmup ones alike).
 func (s *Server) Completed() uint64 { return s.completed }
 
-// Offered returns the number of requests generated so far.
+// Offered returns the number of requests generated so far. It stops
+// growing once the server's VM is removed.
 func (s *Server) Offered() uint64 { return s.offered }
 
 // Start begins generating load. It may only be called once.
@@ -202,7 +203,12 @@ func (s *Server) scheduleNext() {
 }
 
 // arrive admits the pending arrival event's batch and schedules the next.
+// Once the server's VM is removed the arrival chain ends: the VM would
+// drop every request, so generating more only burns events and memory.
 func (s *Server) arrive() {
+	if s.vm.Removed() {
+		return
+	}
 	for i := 0; i < s.batch; i++ {
 		s.admit()
 	}

@@ -447,3 +447,37 @@ func TestServerStaggerDelaysSubtasks(t *testing.T) {
 		t.Fatalf("latency %v, want ~%v", got, want)
 	}
 }
+
+// TestServerStopsArrivingAfterRemoveVM: a departed tenant's server ends
+// its arrival chain. After RemoveVM, Offered stops growing, and once the
+// one arrival already pending has fired, the server schedules nothing
+// more.
+func TestServerStopsArrivingAfterRemoveVM(t *testing.T) {
+	loop, m, vm := newServerRig(t, 4)
+	rng := simrng.New(3)
+	srv := NewServer(loop, vm, ServerConfig{
+		Name:    "kv",
+		Arrival: NewPoisson(rng.Split(), 40000),
+		Service: NewLogNormalService(rng.Split(), 20*sim.Microsecond, 3, 0),
+	})
+	srv.Start()
+	loop.RunUntil(100 * sim.Millisecond)
+	m.RemoveVM(vm)
+	offered := srv.Offered()
+	if offered == 0 {
+		t.Fatal("no requests offered before removal")
+	}
+	// The server's pending arrival is the only event left that could
+	// recur; the loop must drain instead of running forever.
+	for steps := 0; loop.Step(); steps++ {
+		if steps > 1000 {
+			t.Fatalf("loop still has %d events after %d steps past RemoveVM", loop.Len(), steps)
+		}
+	}
+	if got := srv.Offered(); got != offered {
+		t.Fatalf("Offered grew from %d to %d after RemoveVM", offered, got)
+	}
+	if vm.Dropped() != 0 {
+		t.Fatalf("removed VM dropped %d submissions; the server should have stopped submitting", vm.Dropped())
+	}
+}
